@@ -7,13 +7,14 @@
 // Usage:
 //
 //	memsbench [-scenario all|name,name,...] [-warmup N] [-reps N]
-//	          [-format table|json|csv] [-out BENCH_9.json]
-//	memsbench -check BENCH_9.json [-warmup N] [-reps N]
-//	memsbench -compare BENCH_8.json BENCH_9.json
+//	          [-format table|json|csv] [-out BENCH_12.json]
+//	memsbench -check BENCH_12.json [-warmup N] [-reps N]
+//	memsbench -compare BENCH_9.json BENCH_12.json
 //
 // The scenarios:
 //
 //	cbr-steady     one simulated hour of 1024 kbps CBR streaming, 64 KiB buffer
+//	cbr-besteffort cbr-steady plus the default 5 % best-effort load
 //	vbr-mobile     one simulated hour of 512 kbps VBR streaming, 48 KiB buffer
 //	video-abr      one simulated hour of frame-accurate video, trace regenerated per replica
 //	trace-replay   one simulated hour replaying a fixed 60 s frame trace (wrap-around)
@@ -135,6 +136,21 @@ func scenarios() []scenario {
 				Seed:     1,
 			})
 		}},
+		{name: "cbr-besteffort", simHours: 1, setup: func() (func() error, error) {
+			// cbr-steady with the paper's 5 % best-effort share, as
+			// DefaultSimConfig carries it: every replica draws its
+			// background requests during the run.
+			cfg := sim.Config{
+				Device:   mems(),
+				DRAM:     device.DefaultDRAM(),
+				Buffer:   64 * units.KiB,
+				Spec:     workload.CBRSpec(1024 * units.Kbps),
+				Duration: units.Hour,
+				Seed:     1,
+			}
+			cfg.BestEffort = workload.NewBestEffortProcess(0.05, cfg.MediaRate(), 1)
+			return singleStream(cfg)
+		}},
 		{name: "vbr-mobile", simHours: 1, setup: func() (func() error, error) {
 			return singleStream(sim.Config{
 				Device:   mems(),
@@ -233,9 +249,14 @@ func measure(sc scenario, warmup, reps int) (Result, error) {
 			return Result{}, fmt.Errorf("%s: warmup: %w", sc.name, err)
 		}
 	}
-	// Settle the heap so the timed window only sees the scenario's own
-	// allocations; the per-op numbers are floors, so a stray runtime
-	// allocation cannot inflate a genuinely allocation-free scenario.
+	// MemStats counts the whole process's allocations, so other goroutines
+	// (the test runner's timeout timer, the runtime's own workers) would
+	// land in the timed window. Pin the window to one P, as
+	// testing.AllocsPerRun does: the scenario runs on this goroutine and
+	// still has every one of its own allocations counted. Then settle the
+	// heap; the per-op numbers are floors, so a stray runtime allocation
+	// cannot inflate a genuinely allocation-free scenario.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

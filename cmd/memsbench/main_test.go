@@ -79,7 +79,7 @@ func TestRunCSV(t *testing.T) {
 func TestCBRSteadyStateIsAllocationFree(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, opts(func(o *options) {
-		o.scenario = "cbr-steady,vbr-mobile"
+		o.scenario = "cbr-steady,cbr-besteffort,vbr-mobile"
 		o.format = "json"
 		o.warmup = 1
 		o.reps = 2

@@ -43,9 +43,9 @@
 //     configuration — the shape every replicated study produces — is
 //     validated once, and each worker reuses a single simulator across the
 //     replicas it claims, resetting its engine core, demand pattern and
-//     request trace in place instead of rebuilding them; mixed batches fall
-//     back to one simulator per entry. Both paths return bit-identical
-//     results.
+//     best-effort arrival cursor in place instead of rebuilding them; mixed
+//     batches fall back to one simulator per entry. Both paths return
+//     bit-identical results.
 //
 // Every parallel path is deterministic: results are returned in input order
 // and are identical — byte-identical for the rendered figures — to the

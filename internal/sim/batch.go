@@ -16,10 +16,10 @@ import (
 // fields, with no custom RateSource — the batch validates once and each
 // worker reuses a single simulator across the replicas it claims, resetting
 // it per configuration instead of rebuilding pattern, engine core and
-// request trace. This is the allocation-free steady state: after the first
-// replica on each worker, a simulated hour costs zero heap allocations
-// beyond the returned Stats value. Mixed batches fall back to building a
-// fresh simulator per entry.
+// best-effort arrival cursor. This is the allocation-free steady state:
+// after the first replica on each worker, a simulated hour costs zero heap
+// allocations beyond the returned Stats value. Mixed batches fall back to
+// building a fresh simulator per entry.
 //
 // workers bounds the pool: zero means one worker per CPU, one forces the
 // sequential path. The first failing configuration (lowest index) aborts the

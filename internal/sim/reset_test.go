@@ -300,9 +300,9 @@ func TestRunMultiBatchResetPathMatchesFresh(t *testing.T) {
 
 // TestSteadyStateAllocs is the tentpole's allocation guard: once a simulator
 // is warm, a reset-and-rerun iteration — a full simulated hour of CBR or VBR
-// streaming — must not allocate at all, and a two-stream shared-device
-// iteration may allocate only its two output records (the MultiStats value
-// and its per-stream slice).
+// streaming, with or without the 5 % best-effort load — must not allocate at
+// all, and a two-stream shared-device iteration may allocate only its two
+// output records (the MultiStats value and its per-stream slice).
 func TestSteadyStateAllocs(t *testing.T) {
 	hourCfg := func(spec workload.StreamSpec) Config {
 		return Config{
@@ -314,9 +314,12 @@ func TestSteadyStateAllocs(t *testing.T) {
 			Seed:     1,
 		}
 	}
+	withBestEffort := hourCfg(workload.CBRSpec(1024 * units.Kbps))
+	withBestEffort.BestEffort = workload.NewBestEffortProcess(0.05, withBestEffort.MediaRate(), 1)
 	singles := map[string]Config{
-		"cbr": hourCfg(workload.CBRSpec(1024 * units.Kbps)),
-		"vbr": hourCfg(workload.VBRSpec(1024*units.Kbps, 1)),
+		"cbr":         hourCfg(workload.CBRSpec(1024 * units.Kbps)),
+		"vbr":         hourCfg(workload.VBRSpec(1024*units.Kbps, 1)),
+		"best-effort": withBestEffort,
 	}
 	for name, cfg := range singles {
 		t.Run(name, func(t *testing.T) {
@@ -341,26 +344,77 @@ func TestSteadyStateAllocs(t *testing.T) {
 		})
 	}
 
-	t.Run("multi", func(t *testing.T) {
+	beMulti := twoStreamConfig()
+	beMulti.BestEffort = workload.NewBestEffortProcess(0.05, beMulti.MediaRate(), 1)
+	multis := map[string]MultiConfig{
+		"multi":             twoStreamConfig(),
+		"multi-best-effort": beMulti,
+	}
+	for name, cfg := range multis {
+		t.Run(name, func(t *testing.T) {
+			cfg.Duration = units.Hour
+			s, err := NewMulti(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed := uint64(0)
+			iterate := func() {
+				seed++
+				if err := s.Reset(seed); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			iterate() // warm up
+			if allocs := testing.AllocsPerRun(5, iterate); allocs > 2 {
+				t.Errorf("%s steady state allocates %.1f times per simulated hour, want at most 2 (the output records)", name, allocs)
+			}
+		})
+	}
+}
+
+// TestConstructionAllocsIndependentOfDuration guards the on-demand
+// best-effort requests: building a simulator for a day of the default 5 %
+// background load must allocate exactly as often as building one for a
+// minute, because no request is drawn before Run.
+func TestConstructionAllocsIndependentOfDuration(t *testing.T) {
+	single := func(d units.Duration) Config {
+		cfg := Config{
+			Device:   device.DefaultMEMS(),
+			DRAM:     device.DefaultDRAM(),
+			Buffer:   64 * units.KiB,
+			Stream:   workload.NewCBRStream(1024 * units.Kbps),
+			Duration: d,
+			Seed:     1,
+		}
+		cfg.BestEffort = workload.NewBestEffortProcess(0.05, cfg.MediaRate(), 1)
+		return cfg
+	}
+	multi := func(d units.Duration) MultiConfig {
 		cfg := twoStreamConfig()
-		cfg.Duration = units.Hour
-		s, err := NewMulti(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seed := uint64(0)
-		iterate := func() {
-			seed++
-			if err := s.Reset(seed); err != nil {
+		cfg.BestEffort = workload.NewBestEffortProcess(0.05, cfg.MediaRate(), 1)
+		cfg.Duration = d
+		return cfg
+	}
+	allocs := func(build func() error) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if err := build(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.Run(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		iterate() // warm up
-		if allocs := testing.AllocsPerRun(5, iterate); allocs > 2 {
-			t.Errorf("multi steady state allocates %.1f times per simulated hour, want at most 2 (the output records)", allocs)
-		}
-	})
+		})
+	}
+	newAllocs := func(d units.Duration) float64 {
+		return allocs(func() error { _, err := New(single(d)); return err })
+	}
+	newMultiAllocs := func(d units.Duration) float64 {
+		return allocs(func() error { _, err := NewMulti(multi(d)); return err })
+	}
+	if minute, day := newAllocs(units.Minute), newAllocs(24*units.Hour); day != minute {
+		t.Errorf("New allocates %.1f times for a day, %.1f for a minute; want equal", day, minute)
+	}
+	if minute, day := newMultiAllocs(units.Minute), newMultiAllocs(24*units.Hour); day != minute {
+		t.Errorf("NewMulti allocates %.1f times for a day, %.1f for a minute; want equal", day, minute)
+	}
 }

@@ -6,7 +6,9 @@ package sim
 // of the single-stream model — the post-best-effort top-off refill, the ECC
 // error model, background writes wearing the stream's own formatted region,
 // and the full-buffer DRAM access charge per cycle — are expressed as runner
-// knobs instead of a second loop.
+// knobs instead of a second loop. Best-effort requests are pulled from a
+// workload.BestEffortArrivals cursor as the loop reaches their arrival
+// times, so neither construction nor reset builds the run's request list.
 
 import (
 	"memstream/internal/device"
@@ -26,8 +28,9 @@ type runner struct {
 	duration units.Duration
 
 	bestEffort workload.BestEffortProcess
-	requests   []workload.BestEffortRequest
-	nextReq    int
+	// arrivals draws the best-effort requests on demand, so the runner's
+	// memory does not grow with the simulated duration.
+	arrivals workload.BestEffortArrivals
 
 	// topOff refills stream 0 again after the best-effort backlog, restoring
 	// what drained during background service before the shutdown — the
@@ -101,9 +104,8 @@ func (r *runner) run() {
 // serveBestEffort serves every queued request that has arrived by now.
 func (r *runner) serveBestEffort() {
 	dev := r.core.DeviceStats()
-	for r.nextReq < len(r.requests) && r.requests[r.nextReq].Arrival <= r.core.Now() {
-		req := r.requests[r.nextReq]
-		r.nextReq++
+	for req, ok := r.arrivals.Peek(); ok && req.Arrival <= r.core.Now(); req, ok = r.arrivals.Peek() {
+		r.arrivals.Pop()
 		r.core.Account(device.StateBestEffort, r.bestEffort.ServiceTime(req.Size), -1)
 		dev.BestEffortBits = dev.BestEffortBits.Add(req.Size)
 		dev.BestEffortRequests++
@@ -119,20 +121,15 @@ func (r *runner) serveBestEffort() {
 	}
 }
 
-// rewindRequests regenerates the best-effort request trace for the given
-// process into the runner's existing storage and rewinds the queue, the
-// shared tail of both simulators' reset paths.
+// rewindRequests rewinds the best-effort arrival cursor to the start of the
+// given process over the run's duration, the shared tail of both
+// simulators' construction and reset paths. Only an active process is
+// validated, matching Config.Validate; an idle one leaves the cursor empty.
 func (r *runner) rewindRequests(be workload.BestEffortProcess) error {
 	r.bestEffort = be
 	if be.TargetFraction > 0 {
-		requests, err := be.AppendRequests(r.requests[:0], r.duration)
-		if err != nil {
-			return err
-		}
-		r.requests = requests
-	} else {
-		r.requests = r.requests[:0]
+		return r.arrivals.Reset(be, r.duration)
 	}
-	r.nextReq = 0
+	r.arrivals = workload.BestEffortArrivals{}
 	return nil
 }

@@ -219,14 +219,6 @@ func newValidated(cfg Config) (*Simulator, error) {
 		}
 		source = pattern
 	}
-	var requests []workload.BestEffortRequest
-	if cfg.BestEffort.TargetFraction > 0 {
-		var err error
-		requests, err = cfg.BestEffort.Generate(cfg.Duration)
-		if err != nil {
-			return nil, err
-		}
-	}
 	if cfg.BitErrorRate > 0 && cfg.ECCSampleWords <= 0 {
 		cfg.ECCSampleWords = 8
 	}
@@ -248,12 +240,13 @@ func newValidated(cfg Config) (*Simulator, error) {
 		policy:                  engine.PolicyRoundRobin,
 		dram:                    cfg.DRAM,
 		duration:                cfg.Duration,
-		bestEffort:              cfg.BestEffort,
-		requests:                requests,
 		topOff:                  true,
 		inflateBestEffortWrites: true,
 		fixedCycleAccess:        cfg.Buffer,
 		injectErrors:            s.injectErrors,
+	}
+	if err := s.run.rewindRequests(cfg.BestEffort); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -269,7 +262,7 @@ func (c Config) patternSeed() uint64 {
 
 // ResetFor rewinds the simulator so its next Run replays cfg from scratch,
 // reusing the engine core, the demand pattern's storage and the best-effort
-// request trace instead of rebuilding them: after a ResetFor, Run produces
+// arrival cursor instead of rebuilding them: after a ResetFor, Run produces
 // bit-identical statistics to a fresh New(cfg) run. cfg must be reset-
 // compatible with the configuration the simulator was built from — identical
 // except for the seeds (Seed, Spec.Seed/Stream.Seed, BestEffort.Seed) — and
@@ -292,7 +285,8 @@ func (s *Simulator) ResetFor(cfg Config) error {
 // cfg is reset-compatible by construction (Reset derives it from the stored
 // configuration; the batch runners verify the whole batch once up front). It
 // allocates nothing in steady state: the pattern regenerates into its own
-// storage and the request trace reuses its capacity.
+// storage and the best-effort cursor only reseeds, drawing its requests
+// during Run.
 func (s *Simulator) rewind(cfg Config) error {
 	if cfg.RateSource != nil {
 		// The caller owns the source's internal state, which the engine

@@ -316,37 +316,87 @@ func (p BestEffortProcess) Generate(horizon units.Duration) ([]BestEffortRequest
 }
 
 // AppendRequests appends all requests arriving in [0, horizon) to dst and
-// returns the extended slice, exactly as Generate would produce them. Passing
-// a previous trace's slice truncated to zero length reuses its capacity, so
-// reset-and-rerun replicas regenerate their background traffic without
-// steady-state allocations.
+// returns the extended slice, exactly as Generate would produce them: the
+// requests a BestEffortArrivals cursor reset to the same process and horizon
+// yields, in order.
 func (p BestEffortProcess) AppendRequests(dst []BestEffortRequest, horizon units.Duration) ([]BestEffortRequest, error) {
-	if err := p.Validate(); err != nil {
+	var a BestEffortArrivals
+	if err := a.Reset(p, horizon); err != nil {
 		return nil, err
 	}
-	if p.TargetFraction == 0 || !horizon.Positive() {
-		return dst, nil
+	for req, ok := a.Peek(); ok; req, ok = a.Peek() {
+		dst = append(dst, req)
+		a.Pop()
 	}
+	return dst, nil
+}
+
+// BestEffortArrivals is a pull cursor over a best-effort process's requests
+// arriving in [0, horizon): it draws the next request only when the pending
+// one is consumed, so its memory stays constant however long the horizon.
+// The zero value is an empty cursor.
+type BestEffortArrivals struct {
+	rng           Rng
+	meanGap       float64 // mean inter-arrival time, seconds
+	meanSize      float64 // mean request size, bits
+	writeFraction float64
+	horizon       units.Duration
+	next          BestEffortRequest
+	pending       bool
+}
+
+// Reset rewinds the cursor to the first request of p within [0, horizon),
+// without allocating. A zero-fraction process or a non-positive horizon
+// leaves it empty; an invalid process leaves it empty and is reported.
+func (a *BestEffortArrivals) Reset(p BestEffortProcess, horizon units.Duration) error {
+	a.pending = false
 	mean, err := p.MeanInterarrival()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	rng := NewRng(p.Seed ^ 0x5bd1e9955bd1e995)
-	out := dst
-	t := units.Second.Scale(rng.Exp(mean.Seconds()))
-	for t < horizon {
-		size := units.Bit.Scale(rng.Exp(p.MeanSize.Bits()))
-		if size < units.Size(512) {
-			size = units.Size(512)
-		}
-		out = append(out, BestEffortRequest{
-			Arrival: t,
-			Size:    size,
-			Write:   rng.Float64() < p.WriteFraction,
-		})
-		t = t.Add(units.Second.Scale(rng.Exp(mean.Seconds())))
+	if p.TargetFraction == 0 || !horizon.Positive() {
+		return nil
 	}
-	return out, nil
+	a.rng.Seed(p.Seed ^ 0x5bd1e9955bd1e995)
+	a.meanGap = mean.Seconds()
+	a.meanSize = p.MeanSize.Bits()
+	a.writeFraction = p.WriteFraction
+	a.horizon = horizon
+	// The first arrival is one gap after time zero, so start from a
+	// consumed request at zero: 0 + gap is exactly gap.
+	a.next.Arrival = 0
+	a.pending = true
+	a.Pop()
+	return nil
+}
+
+// Peek returns the pending request and true, or false once the cursor has
+// passed the horizon.
+func (a *BestEffortArrivals) Peek() (BestEffortRequest, bool) {
+	return a.next, a.pending
+}
+
+// Pop consumes the pending request and draws the next one: its arrival one
+// exponential gap later, then its size, then its write flag. Past the
+// horizon the cursor empties; on an empty cursor Pop does nothing.
+func (a *BestEffortArrivals) Pop() {
+	if !a.pending {
+		return
+	}
+	t := a.next.Arrival.Add(units.Second.Scale(a.rng.Exp(a.meanGap)))
+	a.pending = t < a.horizon
+	if !a.pending {
+		return
+	}
+	size := units.Bit.Scale(a.rng.Exp(a.meanSize))
+	if size < units.Size(512) {
+		size = units.Size(512)
+	}
+	a.next = BestEffortRequest{
+		Arrival: t,
+		Size:    size,
+		Write:   a.rng.Float64() < a.writeFraction,
+	}
 }
 
 // PlaybackCalendar expands a daily usage pattern (hours of streaming per day)
