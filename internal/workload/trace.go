@@ -199,17 +199,26 @@ func (p *TracePattern) Horizon() units.Duration { return units.Second.Scale(p.ho
 // Frames exposes the trace (for reports and round-trips).
 func (p *TracePattern) Frames() []Frame { return p.frames }
 
-// frameIndex returns the frame in effect at the wrapped time w.
-func (p *TracePattern) frameIndex(w float64) int {
-	// First start strictly greater than w, minus one.
-	i := sort.SearchFloat64s(p.starts, w)
-	if i == len(p.starts) || p.starts[i] > w {
-		i--
+// pass returns the index k of the trace pass containing t: the largest k
+// with k·horizon not after t. RateAt and NextRateChange both place every
+// boundary at exactly k·horizon + starts[i], and the next pass at
+// (k+1)·horizon, so they agree on which frame contains a boundary.
+func (p *TracePattern) pass(t float64) float64 {
+	k := math.Floor(t / p.horizon)
+	if k*p.horizon > t {
+		k--
 	}
-	if i < 0 {
-		i = 0
+	if (k+1)*p.horizon <= t {
+		k++
 	}
-	return i
+	return k
+}
+
+// firstAfter returns the index of the first frame of the pass starting at
+// base whose boundary base + starts[i] lies strictly after t (len(starts)
+// when none does).
+func (p *TracePattern) firstAfter(base, t float64) int {
+	return sort.Search(len(p.starts), func(i int) bool { return base+p.starts[i] > t })
 }
 
 // RateAt returns the demand in effect at time t.
@@ -217,7 +226,8 @@ func (p *TracePattern) RateAt(t units.Duration) units.BitRate {
 	if t < 0 {
 		t = 0
 	}
-	return p.rates[p.frameIndex(mod(t.Seconds(), p.horizon))]
+	// starts[0] == 0, so at least one boundary of the pass is not after t.
+	return p.rates[p.firstAfter(p.pass(t.Seconds())*p.horizon, t.Seconds())-1]
 }
 
 // PeakRate returns the largest instantaneous demand of the trace.
@@ -227,24 +237,17 @@ func (p *TracePattern) PeakRate() units.BitRate { return p.peak }
 func (p *TracePattern) AverageRate() units.BitRate { return p.average }
 
 // NextRateChange returns the earliest time strictly after t at which RateAt
-// may return a different value: the next frame boundary, or the wrap-around
-// itself. A boundary that fails to advance t (a sub-ulp sliver at large t)
-// falls through to the boundary after it, mirroring NextBoundary's guard;
-// integrators treat a non-advancing result as "no change", so the final
-// fallback of one full cycle is safe even at absurd magnitudes.
+// may return a different value: the next frame boundary pass + starts[i], or
+// the start of the next pass. Boundaries are computed exactly as RateAt
+// places them, so stepping from change to change visits every frame once.
 func (p *TracePattern) NextRateChange(t units.Duration) units.Duration {
 	if t < 0 {
 		t = 0
 	}
-	w := mod(t.Seconds(), p.horizon)
-	i := sort.SearchFloat64s(p.starts, w)
-	for i < len(p.starts) && p.starts[i] <= w {
-		i++
+	k := p.pass(t.Seconds())
+	base, end := k*p.horizon, (k+1)*p.horizon
+	if i := p.firstAfter(base, t.Seconds()); i < len(p.starts) && base+p.starts[i] < end {
+		return units.Second.Scale(base + p.starts[i])
 	}
-	for ; i < len(p.starts); i++ {
-		if next := t.Add(units.Second.Scale(p.starts[i] - w)); next > t {
-			return next
-		}
-	}
-	return t.Add(units.Second.Scale(p.horizon - w))
+	return units.Second.Scale(end)
 }

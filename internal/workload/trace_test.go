@@ -163,6 +163,68 @@ func TestTracePatternNextRateChange(t *testing.T) {
 	}
 }
 
+// TestFrameBoundarySamplingAcrossPasses steps a 60 s video trace, and the
+// same frames replayed through a TracePattern, from rate change to rate
+// change over five passes. RateAt must agree with NextRateChange about which
+// frame contains each boundary: step k samples frame k mod n, and the stepped
+// demand integrates to exactly five times the frames' total size. Sampling
+// the previous frame at a boundary charges its demand for a whole frame
+// interval and skews the integral.
+func TestFrameBoundarySamplingAcrossPasses(t *testing.T) {
+	video, err := NewVideoRatePattern(NewVideoStream(units.Kbps.Scale(1024), 3), units.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := video.Frames()
+	trace, err := NewTracePattern(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(frames)
+	var size units.Size
+	for _, f := range frames {
+		size = size.Add(f.Size)
+	}
+	for _, c := range []struct {
+		name    string
+		pattern Pattern
+		rate    func(i int) units.BitRate
+	}{
+		{"video", video, func(i int) units.BitRate {
+			return units.BitPerSecond.Scale(frames[i].Size.Bits() / video.frameInterval.Seconds())
+		}},
+		{"trace", trace, func(i int) units.BitRate { return trace.rates[i] }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			at := units.Duration(0)
+			var total units.Size
+			wrong := 0
+			for k := 0; k < 5*n; k++ {
+				rate := c.pattern.RateAt(at)
+				if want := c.rate(k % n); rate != want {
+					if wrong == 0 {
+						t.Errorf("step %d at %v samples %v, want frame %d's %v", k, at, rate, k%n, want)
+					}
+					wrong++
+				}
+				next := c.pattern.NextRateChange(at)
+				if next <= at {
+					t.Fatalf("step %d: next change %v does not advance past %v", k, next, at)
+				}
+				total = total.Add(rate.Times(next.Sub(at)))
+				at = next
+			}
+			if wrong > 0 {
+				t.Errorf("%d of %d steps sample the wrong frame", wrong, 5*n)
+			}
+			want := size.Scale(5)
+			if rel := math.Abs(total.Bits()-want.Bits()) / want.Bits(); rel > 1e-9 {
+				t.Errorf("five passes integrate to %v, want %v (relative error %.3g)", total, want, rel)
+			}
+		})
+	}
+}
+
 func TestTracePatternSingleFrame(t *testing.T) {
 	p, err := NewTracePattern([]Frame{{Timestamp: 0, Size: 400}})
 	if err != nil {

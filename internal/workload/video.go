@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"memstream/internal/units"
 )
@@ -302,17 +303,22 @@ func (p *VideoRatePattern) Reset(seed uint64) error {
 	return nil
 }
 
-// RateAt returns the demand in effect at time t.
+// RateAt returns the demand in effect at time t. The frame is derived from
+// the same absolute frame count NextBoundary computes, so the boundary
+// NextRateChange announces always starts the next frame: a boundary time k·Δ
+// whose quotient by Δ rounds below k would otherwise sample frame k−1 for a
+// whole frame interval.
 func (p *VideoRatePattern) RateAt(t units.Duration) units.BitRate {
 	if t < 0 {
 		t = 0
 	}
-	wrapped := units.Second.Scale(mod(t.Seconds(), p.horizon.Seconds()))
-	idx := int(wrapped.Seconds() / p.frameInterval.Seconds())
-	if idx >= len(p.frames) {
-		idx = len(p.frames) - 1
+	interval := p.frameInterval.Seconds()
+	k := math.Floor(t.Seconds() / interval)
+	if (k+1)*interval <= t.Seconds() {
+		k++
 	}
-	return units.BitPerSecond.Scale(p.frames[idx].Size.Bits() / p.frameInterval.Seconds())
+	idx := int(k) % len(p.frames)
+	return units.BitPerSecond.Scale(p.frames[idx].Size.Bits() / interval)
 }
 
 // PeakRate returns the largest instantaneous demand of the trace.
@@ -340,14 +346,3 @@ func (p *VideoRatePattern) AverageRate() units.BitRate {
 
 // Frames exposes the generated trace (for analyses and reports).
 func (p *VideoRatePattern) Frames() []Frame { return p.frames }
-
-func mod(a, b float64) float64 {
-	if b <= 0 {
-		return 0
-	}
-	m := a - b*float64(int(a/b))
-	if m < 0 {
-		m += b
-	}
-	return m
-}
