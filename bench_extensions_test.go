@@ -71,13 +71,12 @@ func BenchmarkVideoTraceSimulation(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := SimConfig{
-		Device:     DefaultDevice(),
-		DRAM:       DefaultDRAM(),
-		Buffer:     92 * KiB,
-		Stream:     NewCBRStream(1024 * Kbps),
-		RateSource: pattern,
-		Duration:   60 * Second,
-		Seed:       7,
+		Device:   DefaultDevice(),
+		DRAM:     DefaultDRAM(),
+		Buffer:   92 * KiB,
+		Spec:     TraceSpec(pattern.Frames()),
+		Duration: 60 * Second,
+		Seed:     7,
 	}
 	var stats *SimStats
 	b.ResetTimer()

@@ -1,7 +1,7 @@
 // Command memsbench tracks the performance trajectory of the simulation
 // engine across pull requests. It runs a fixed set of named scenarios — each
 // a warm simulator replaying seed-varied replicas through the reset path the
-// batch APIs use — and reports wall time, allocation counts and simulation
+// replica runner uses — and reports wall time, allocation counts and simulation
 // throughput per scenario.
 //
 // Usage:

@@ -38,14 +38,14 @@
 //   - BreakEvenTable inverts the MEMS and disk break-even points per rate
 //     concurrently, and Ablations evaluates the ablated model variants
 //     concurrently;
-//   - SimulateBatch and SimulateMultiBatch run many discrete-event
-//     simulations at once. A batch of seed-varied replicas of one
-//     configuration — the shape every replicated study produces — is
-//     validated once, and each worker reuses a single simulator across the
-//     replicas it claims, resetting its engine core, demand pattern and
-//     best-effort arrival cursor in place instead of rebuilding them; mixed
-//     batches fall back to one simulator per entry. Both paths return
-//     bit-identical results.
+//   - SimulateBatch and SimulateMultiBatch run many independent
+//     discrete-event simulations at once, each configuration validated and
+//     run on a simulator of its own, so a batch may mix devices, buffers
+//     and workloads freely. Seed-varied replicas of one configuration go
+//     through the simulator's replica runner instead (memssim -replicas and
+//     the service's "replicas" field use it): it validates the prototype
+//     once and each worker resets one simulator's engine core, demand
+//     pattern and best-effort arrival cursor in place per replica.
 //
 // Every parallel path is deterministic: results are returned in input order
 // and are identical — byte-identical for the rendered figures — to the
@@ -88,8 +88,7 @@
 //     SimConfig.Device, or assign MEMSBackend/DiskBackend (via
 //     DefaultSimConfigFor or DefaultDiskSimConfig); SimulateDisk runs a
 //     configuration against a drive directly.
-//   - CLI: memssim -device mems|improved|disk (-improved remains as a
-//     deprecated alias for -device improved; unknown names are usage
+//   - CLI: memssim -device mems|improved|disk (unknown names are usage
 //     errors).
 //   - HTTP API: POST /v1/simulate accepts "device":{"name":...} with
 //     "default"/"mems", "improved" or "disk"; the backend is part of the
@@ -192,9 +191,9 @@
 // including regenerating the demand pattern and best-effort trace for the
 // next seed — performs zero heap allocations, and a shared-device iteration
 // allocates only its two output records. TestSteadyStateAllocs in
-// internal/sim guards this with testing.AllocsPerRun, and the batch and
-// replica APIs exploit it through per-worker simulator reuse (see
-// Concurrency above) — the service layer's /v1/simulate and /v1/multisim
+// internal/sim guards this with testing.AllocsPerRun, and the replica runner
+// exploits it through per-worker simulator reuse (see Concurrency above) —
+// memssim -replicas and the service layer's /v1/simulate and /v1/multisim
 // replica loops validate one prototype configuration and rewind a pooled
 // simulator per worker instead of building one per replica.
 //

@@ -106,9 +106,9 @@ func SimulateMulti(cfg SimMultiConfig) (*SimMultiStats, error) {
 
 // SimulateMultiBatch runs many independent shared-device simulations
 // concurrently on one worker per CPU and returns the statistics in input
-// order, with the same determinism guarantee as SimulateBatch — including
-// its seed-varied fast path, which reuses one simulator per worker when
-// every plan in the batch differs only by seeds.
+// order, with the same determinism guarantee as SimulateBatch: each plan
+// runs on a simulator of its own, bit-identical to SimulateMulti in
+// sequence.
 func SimulateMultiBatch(cfgs ...SimMultiConfig) ([]*SimMultiStats, error) {
 	return SimulateMultiBatchContext(context.Background(), 0, cfgs)
 }
@@ -167,7 +167,7 @@ type (
 	// structure, I/P/B frame weights, jitter).
 	VideoStream = workload.VideoStream
 	// VideoRatePattern samples the frame-accurate demand of a video stream;
-	// it plugs into SimConfig.RateSource.
+	// its Frames replay through TraceSpec in SimConfig.Spec.
 	VideoRatePattern = workload.VideoRatePattern
 	// TracePattern samples the demand of a user-supplied frame trace,
 	// wrapping around beyond its horizon.
@@ -176,8 +176,6 @@ type (
 	Frame = workload.Frame
 	// FrameClass is the coding class of a frame (I, P or B).
 	FrameClass = workload.FrameClass
-	// SimRateSource is the demand-sampling interface the simulator accepts.
-	SimRateSource = sim.RateSource
 	// SimStreamSpec is the typed stream description SimConfig.Spec consumes:
 	// one value selects the workload family (SpecCBR, SpecVBR, SpecVideo or
 	// SpecTrace) and carries its parameters; the simulator derives the
@@ -250,7 +248,8 @@ func NewVideoStream(rate BitRate, seed uint64) VideoStream {
 }
 
 // NewVideoRatePattern generates a frame trace covering the horizon and wraps
-// it as a rate source for the simulator.
+// it as a demand sampler; TraceSpec(pattern.Frames()) replays that exact
+// trace in the simulator.
 func NewVideoRatePattern(v VideoStream, horizon Duration) (*VideoRatePattern, error) {
 	p, err := workload.NewVideoRatePattern(v, horizon)
 	return p, wrapErr(err)

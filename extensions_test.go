@@ -117,19 +117,17 @@ func TestVideoStreamFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var source SimRateSource = pattern
-	if source.PeakRate() <= 1024*Kbps {
+	if pattern.PeakRate() <= 1024*Kbps {
 		t.Error("video peak rate should exceed the nominal rate")
 	}
 	// Drive a simulation with the frame trace through the public API.
 	cfg := SimConfig{
-		Device:     DefaultDevice(),
-		DRAM:       DefaultDRAM(),
-		Buffer:     64 * KiB,
-		Stream:     NewCBRStream(1024 * Kbps),
-		RateSource: pattern,
-		Duration:   60 * Second,
-		Seed:       5,
+		Device:   DefaultDevice(),
+		DRAM:     DefaultDRAM(),
+		Buffer:   64 * KiB,
+		Spec:     TraceSpec(pattern.Frames()),
+		Duration: 60 * Second,
+		Seed:     5,
 	}
 	stats, err := Simulate(cfg)
 	if err != nil {

@@ -12,11 +12,11 @@
 //
 // The engine advances time by next-event stepping, not by fixed slices: a
 // drain or refill integration step ends at the earliest of the target level,
-// the deadline, and the next demand change of the rate source (when the
-// source can announce one through RateStepper). For piecewise-constant
-// demand — CBR, VBR segments, per-frame video traces — the integration is
-// therefore exact, and the step count is proportional to the number of rate
-// changes instead of the simulated time divided by a slice width.
+// the deadline, and the next demand change the rate source announces through
+// NextRateChange. For piecewise-constant demand — CBR, VBR segments,
+// per-frame video traces — the integration is therefore exact, and the step
+// count is proportional to the number of rate changes instead of the
+// simulated time divided by a slice width.
 //
 // Two device backends are provided: the MEMS probe store of Table I
 // (NewMEMS) and the 1.8-inch disk baseline of Section III-A.1 (NewDisk), so
@@ -32,8 +32,9 @@ import (
 	"memstream/internal/workload"
 )
 
-// RateSource samples the instantaneous demand of a stream. workload's
-// RatePattern (CBR/VBR) and VideoRatePattern (MPEG-like frame traces) both
+// RateSource samples the piecewise-constant demand of a stream and announces
+// its own rate changes. workload's RatePattern (CBR/VBR), VideoRatePattern
+// (MPEG-like frame traces) and TracePattern (user frame traces) all
 // implement it.
 type RateSource interface {
 	// RateAt returns the demand in effect at time t.
@@ -41,42 +42,10 @@ type RateSource interface {
 	// PeakRate returns the largest demand the source can produce; the
 	// engine provisions its wake-up threshold against it.
 	PeakRate() units.BitRate
-}
-
-// RateStepper is the optional refinement of RateSource that enables exact
-// event-driven stepping: NextRateChange(t) returns the earliest time
-// strictly after t at which RateAt may return a different value (infinity
-// for a constant source). Sources that do not implement it are integrated in
-// one step per drain/refill target, which is exact only for constant demand.
-type RateStepper interface {
+	// NextRateChange returns the earliest time strictly after t at which
+	// RateAt may return a different value (infinity for a constant source),
+	// so integrators step exactly from change to change.
 	NextRateChange(t units.Duration) units.Duration
-}
-
-// sliced adapts an arbitrary RateSource into a RateStepper by announcing a
-// possible rate change every step seconds. It is the compatibility fallback
-// for sources that cannot enumerate their own change points; the integration
-// then degrades gracefully to the legacy fixed-slice resolution.
-type sliced struct {
-	RateSource
-	step float64
-}
-
-// Sliced wraps src so event-driven integrators sample it at least every step
-// interval. Sources that already implement RateStepper are returned as-is.
-func Sliced(src RateSource, step units.Duration) RateSource {
-	if _, ok := src.(RateStepper); ok {
-		return src
-	}
-	if !step.Positive() {
-		return src
-	}
-	return sliced{RateSource: src, step: step.Seconds()}
-}
-
-// NextRateChange returns the end of the slice containing t, always strictly
-// after t (workload.NextBoundary carries the rounding guard).
-func (s sliced) NextRateChange(t units.Duration) units.Duration {
-	return workload.NextBoundary(t, s.step)
 }
 
 // Backend is the device model driven through the refill cycle: power per

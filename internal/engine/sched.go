@@ -36,7 +36,6 @@ type StreamConfig struct {
 // streamState is the per-stream accounting of the core.
 type streamState struct {
 	source        RateSource
-	stepper       RateStepper // nil for sources without announced rate changes
 	buffer        units.Size
 	level         units.Size
 	wakeLevel     units.Size
@@ -125,9 +124,6 @@ func NewMultiCore(b Backend, streams []StreamConfig) *MultiCore {
 			inflation:     b.WriteInflation(sc.Buffer),
 			writeFraction: sc.WriteFraction,
 			priority:      sc.Priority,
-		}
-		if stepper, ok := sc.Source.(RateStepper); ok {
-			st.stepper = stepper
 		}
 		m.totalBuffer = m.totalBuffer.Add(sc.Buffer)
 		m.streams = append(m.streams, st)
@@ -252,10 +248,7 @@ func (m *MultiCore) Account(state device.PowerState, dt units.Duration, focus in
 // piecewise-constant demand across all sources at once.
 func (m *MultiCore) stepBound(dt units.Duration) units.Duration {
 	for _, st := range m.streams {
-		if st.stepper == nil {
-			continue
-		}
-		next := st.stepper.NextRateChange(m.now)
+		next := st.source.NextRateChange(m.now)
 		if remaining := next.Sub(m.now); remaining.Positive() && remaining < dt {
 			dt = remaining
 		}

@@ -643,15 +643,13 @@ func (s *Service) SimulateBytes(ctx context.Context, req SimulateRequest) ([]byt
 		if bestEffort > 0 {
 			cfg.BestEffort = workload.NewBestEffortProcess(bestEffort, mediaRate, seed)
 		}
-		if err := cfg.Validate(); err != nil {
-			return nil, invalidf("%v", err)
-		}
 		stats, err := sim.RunReplicas(ctx, workers, cfg, seed, replicas)
 		if err != nil {
-			// Run-time simulator failures are request-derived (most commonly
-			// a buffer below the disk's spin-up drain, which only the run
-			// itself detects); keep them 400s, but let cancellations and
-			// deadline hits keep their transport status codes.
+			// Validation and run-time simulator failures are both
+			// request-derived (a run-time one is most commonly a buffer below
+			// the disk's spin-up drain, which only the run itself detects);
+			// keep them 400s, but let cancellations and deadline hits keep
+			// their transport status codes.
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return nil, err
 			}
@@ -809,14 +807,12 @@ func (s *Service) MultiSimBytes(ctx context.Context, req MultiSimRequest) ([]byt
 		if bestEffort > 0 {
 			cfg.BestEffort = workload.NewBestEffortProcess(bestEffort, mediaRate, seed)
 		}
-		if err := cfg.Validate(); err != nil {
-			return nil, invalidf("%v", err)
-		}
 		stats, err := sim.RunMultiReplicas(ctx, workers, cfg, seed, replicas)
 		if err != nil {
-			// Run-time failures are request-derived (most commonly a buffer
-			// that cannot cover the multi-stream service round); keep them
-			// 400s, but let cancellations keep their transport status codes.
+			// Validation and run-time failures are both request-derived (a
+			// run-time one is most commonly a buffer that cannot cover the
+			// multi-stream service round); keep them 400s, but let
+			// cancellations keep their transport status codes.
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return nil, err
 			}

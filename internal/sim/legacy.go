@@ -1,11 +1,12 @@
 package sim
 
 // This file preserves the original fixed-slice integration path of the
-// simulator, verbatim except for renames, as the parity oracle for the
-// event-driven engine: parity_test.go proves the engine reproduces its
-// statistics within documented tolerance, and the benchmarks quantify the
-// speedup of event stepping over slicing. It only supports the MEMS device
-// (Config.Backend is ignored).
+// simulator as the parity oracle for the event-driven engine: parity_test.go
+// proves the engine reproduces its statistics within documented tolerance,
+// and the benchmarks quantify the speedup of event stepping over slicing.
+// Its integration loop is the original one; only the construction changed,
+// to read the stream from Config.Spec like the engine does. It only supports
+// the MEMS device (Config.Backend is ignored).
 
 import (
 	"fmt"
@@ -23,14 +24,11 @@ import (
 type slicedSimulator struct {
 	cfg    Config
 	layout format.Layout
-	source RateSource
+	source workload.Pattern
 	// variableRate marks demand that changes over time, requiring the drain
 	// and refill integrations to proceed in small slices.
 	variableRate bool
-	// writeFraction is the resolved stream write share (from Spec when set,
-	// from the legacy Stream otherwise).
-	writeFraction float64
-	rng           *workload.Rng
+	rng          *workload.Rng
 
 	// live state
 	now      units.Duration
@@ -45,32 +43,12 @@ func newSliced(cfg Config) (*slicedSimulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var source RateSource
-	variable := false
-	writeFraction := cfg.Stream.WriteFraction
-	switch {
-	case cfg.Spec.Kind != "":
-		pattern, err := cfg.Spec.Pattern(cfg.Duration)
-		if err != nil {
-			return nil, err
-		}
-		source = pattern
-		variable = cfg.Spec.Kind != workload.SpecCBR
-		writeFraction = cfg.Spec.WriteFraction
-	case cfg.RateSource != nil:
-		source = cfg.RateSource
-		variable = true
-	default:
-		pattern, err := workload.NewRatePattern(cfg.Stream)
-		if err != nil {
-			return nil, err
-		}
-		source = pattern
-		variable = cfg.Stream.Kind == workload.VBR
+	source, err := cfg.Spec.Pattern(cfg.Duration)
+	if err != nil {
+		return nil, err
 	}
 	var requests []workload.BestEffortRequest
 	if cfg.BestEffort.TargetFraction > 0 {
-		var err error
 		requests, err = cfg.BestEffort.Generate(cfg.Duration)
 		if err != nil {
 			return nil, err
@@ -80,14 +58,13 @@ func newSliced(cfg Config) (*slicedSimulator, error) {
 		cfg.ECCSampleWords = 8
 	}
 	s := &slicedSimulator{
-		cfg:           cfg,
-		layout:        format.NewLayout(cfg.Device),
-		source:        source,
-		variableRate:  variable,
-		writeFraction: writeFraction,
-		rng:           workload.NewRng(cfg.Seed ^ 0xdeadbeefcafef00d),
-		level:         cfg.Buffer,
-		requests:      requests,
+		cfg:          cfg,
+		layout:       format.NewLayout(cfg.Device),
+		source:       source,
+		variableRate: cfg.Spec.Kind != workload.SpecCBR,
+		rng:          workload.NewRng(cfg.Seed ^ 0xdeadbeefcafef00d),
+		level:        cfg.Buffer,
+		requests:     requests,
 	}
 	s.stats.MinBufferLevel = cfg.Buffer
 	return s, nil
@@ -156,7 +133,7 @@ func (s *slicedSimulator) refillToFull(state device.PowerState) {
 		}
 		transferred := s.cfg.Device.MediaRate().Times(dt)
 		s.stats.MediaBits = s.stats.MediaBits.Add(transferred)
-		s.creditWrites(transferred, s.writeFraction)
+		s.creditWrites(transferred, s.cfg.Spec.WriteFraction)
 		// The refill and the drain happen concurrently: credit the incoming
 		// data before accounting the drain so the net fill never reads as an
 		// artificial underrun. The true occupancy minimum of a cycle occurs

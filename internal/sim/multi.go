@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 
 	"memstream/internal/device"
 	"memstream/internal/engine"
@@ -194,8 +193,8 @@ type MultiSimulator struct {
 	backend engine.Backend
 	core    *engine.MultiCore
 	// sources keeps the per-stream demand patterns in configuration order so
-	// ResetFor can reseed them in place across replicas.
-	sources []engine.RateSource
+	// Reset can reseed them in place across replicas.
+	sources []workload.Pattern
 	// run is the shared cycle loop, configured for the shared-device model:
 	// no top-off, uninflated background writes, refilled-volume DRAM charge.
 	run runner
@@ -210,14 +209,14 @@ func NewMulti(cfg MultiConfig) (*MultiSimulator, error) {
 }
 
 // newMultiValidated builds a simulator assuming cfg already passed Validate,
-// so batch runners validating a whole batch once do not pay per-replica
-// re-validation.
+// so the replica runner validating its prototype once does not pay
+// per-replica re-validation.
 func newMultiValidated(cfg MultiConfig) (*MultiSimulator, error) {
 	// The simulator owns its Streams slice: Reset re-seeds the entries in
 	// place, which must never reach through to the caller's slice.
 	cfg.Streams = append([]MultiStream(nil), cfg.Streams...)
 	streams := make([]engine.StreamConfig, len(cfg.Streams))
-	sources := make([]engine.RateSource, len(cfg.Streams))
+	sources := make([]workload.Pattern, len(cfg.Streams))
 	for i, s := range cfg.Streams {
 		pattern, err := s.Spec.Pattern(cfg.Duration)
 		if err != nil {
@@ -251,44 +250,22 @@ func newMultiValidated(cfg MultiConfig) (*MultiSimulator, error) {
 	return s, nil
 }
 
-// ResetFor rewinds the simulator so its next Run replays cfg from scratch,
-// reusing the engine core, every stream's demand pattern storage and the
-// best-effort arrival cursor: after a ResetFor, Run produces bit-identical
-// statistics to a fresh NewMulti(cfg) run. cfg must be reset-compatible with
-// the configuration the simulator was built from — identical except for the
-// seeds (Seed, each stream's Spec.Seed, BestEffort.Seed); ResetFor reports
-// an error otherwise. Patterns are reseeded before the core re-provisions so
-// the recomputed wake levels see the new traces' peaks.
-func (s *MultiSimulator) ResetFor(cfg MultiConfig) error {
-	if !multiResetCompatible(s.cfg, cfg) {
-		return errors.New("sim: ResetFor needs a reset-compatible configuration (identical up to seeds)")
-	}
-	// Copy the entries into the simulator-owned slice so later Resets never
-	// reach through to the caller's.
-	streams := s.cfg.Streams
-	copy(streams, cfg.Streams)
-	cfg.Streams = streams
-	return s.rewind(cfg)
-}
-
-// rewind is ResetFor without the compatibility check, for callers that know
-// cfg is reset-compatible by construction and that cfg.Streams is the
-// simulator-owned slice. Patterns are reseeded before the core re-provisions
-// so the recomputed wake levels see the new traces' peaks.
-func (s *MultiSimulator) rewind(cfg MultiConfig) error {
+// Reset derives every stream's pattern seed from the replica seed exactly as
+// RunMultiReplicas and the service layer do — stream j gets
+// seed ^ ((j+1) · golden ratio) so concurrent streams never share a random
+// sequence — reseeds the best-effort process with the replica seed itself,
+// and rewinds the simulator for the next Run, adding no allocations of its
+// own. After a Reset, Run produces bit-identical statistics to a fresh
+// NewMulti run of the reseeded configuration. Patterns are reseeded before
+// the core re-provisions so the recomputed wake levels see the new traces'
+// peaks.
+func (s *MultiSimulator) Reset(seed uint64) error {
+	// s.cfg.Streams is the simulator-owned backing, so reseeding it in place
+	// never reaches the caller's slice.
+	cfg := reseedMultiConfig(s.cfg, seed)
 	for i, src := range s.sources {
-		seed := cfg.Streams[i].Spec.Seed
-		switch p := src.(type) {
-		case *workload.RatePattern:
-			p.Reset(seed)
-		case *workload.VideoRatePattern:
-			if err := p.Reset(seed); err != nil {
-				return fmt.Errorf("sim: stream %d (%s): %w", i, cfg.Streams[i].Name, err)
-			}
-		case *workload.TracePattern:
-			// Read-only after construction; the replayed frames carry no seed.
-		default:
-			return fmt.Errorf("sim: stream %d (%s): pattern cannot be reset", i, cfg.Streams[i].Name)
+		if err := src.Reset(cfg.Streams[i].Spec.Seed); err != nil {
+			return fmt.Errorf("sim: stream %d (%s): %w", i, cfg.Streams[i].Name, err)
 		}
 	}
 	if err := s.run.rewindRequests(cfg.BestEffort); err != nil {
@@ -299,37 +276,6 @@ func (s *MultiSimulator) rewind(cfg MultiConfig) error {
 	// realized peaks, so it must follow the pattern resets above.
 	s.core.Reset()
 	return nil
-}
-
-// Reset is the common-case ResetFor: it derives every stream's pattern seed
-// from the replica seed exactly as the service layer does for its replicas —
-// stream j gets seed ^ ((j+1) · golden ratio) so concurrent streams never
-// share a random sequence — reseeds the best-effort process with the replica
-// seed itself, and rewinds the simulator for the next Run. The derived
-// configuration is reset-compatible by construction, so Reset skips the
-// compatibility check and adds no allocations of its own.
-func (s *MultiSimulator) Reset(seed uint64) error {
-	// s.cfg.Streams is the simulator-owned backing; rewind replaces s.cfg
-	// wholesale, so reseeding it in place is safe.
-	return s.rewind(reseedMultiConfig(s.cfg, seed))
-}
-
-// multiResetCompatible reports whether two configurations are identical up
-// to their seed fields (the run seed, each stream's spec seed and the
-// best-effort seed), so a simulator built for a can be rewound into b.
-func multiResetCompatible(a, b MultiConfig) bool {
-	if len(a.Streams) != len(b.Streams) {
-		return false
-	}
-	a.Seed, b.Seed = 0, 0
-	a.BestEffort.Seed, b.BestEffort.Seed = 0, 0
-	a.Streams = append([]MultiStream(nil), a.Streams...)
-	b.Streams = append([]MultiStream(nil), b.Streams...)
-	for i := range a.Streams {
-		a.Streams[i].Spec.Seed = 0
-		b.Streams[i].Spec.Seed = 0
-	}
-	return reflect.DeepEqual(a, b)
 }
 
 // Run executes the simulation and returns the collected statistics.
@@ -369,47 +315,9 @@ func RunMulti(cfg MultiConfig) (*MultiStats, error) {
 
 // RunMultiBatch runs every configuration as an independent shared-device
 // simulation on a bounded worker pool and returns the statistics in input
-// order, with the same worker and error semantics as RunBatch — including
-// the reset fast path: a batch of seed-varied, otherwise identical
-// configurations validates once and reuses one simulator per worker.
+// order, with the same worker and error semantics as RunBatch. Seed-varied
+// copies of one configuration are RunMultiReplicas' job.
 func RunMultiBatch(ctx context.Context, workers int, cfgs []MultiConfig) ([]*MultiStats, error) {
-	if len(cfgs) == 0 {
-		return nil, nil
-	}
-	if multiBatchResettable(cfgs) {
-		// One validation covers every replica: reset-compatible
-		// configurations differ only in seeds, which Validate never inspects.
-		if err := cfgs[0].Validate(); err != nil {
-			return nil, fmt.Errorf("sim: batch config 0: %w", err)
-		}
-		slots := make([]*MultiSimulator, parallel.EffectiveWorkers(workers, len(cfgs)))
-		return parallel.MapWorkers(ctx, workers, len(cfgs), func(_ context.Context, worker, i int) (*MultiStats, error) {
-			s := slots[worker]
-			if s == nil {
-				var err error
-				s, err = newMultiValidated(cfgs[i])
-				if err != nil {
-					return nil, fmt.Errorf("sim: batch config %d: %w", i, err)
-				}
-				slots[worker] = s
-			} else {
-				cfg := cfgs[i]
-				streams := s.cfg.Streams
-				copy(streams, cfg.Streams)
-				cfg.Streams = streams
-				if err := s.rewind(cfg); err != nil {
-					return nil, fmt.Errorf("sim: batch config %d: %w", i, err)
-				}
-			}
-			// Run builds a fresh MultiStats per invocation, so no copy is
-			// needed before the next reset reuses the core.
-			stats, err := s.Run()
-			if err != nil {
-				return nil, fmt.Errorf("sim: batch config %d: %w", i, err)
-			}
-			return stats, nil
-		})
-	}
 	return parallel.Map(ctx, workers, len(cfgs), func(_ context.Context, i int) (*MultiStats, error) {
 		stats, err := RunMulti(cfgs[i])
 		if err != nil {
@@ -417,19 +325,4 @@ func RunMultiBatch(ctx context.Context, workers int, cfgs []MultiConfig) ([]*Mul
 		}
 		return stats, nil
 	})
-}
-
-// multiBatchResettable reports whether every configuration of the batch can
-// share one simulator per worker: at least two entries (a singleton gains
-// nothing from the reset path) and all reset-compatible with the first.
-func multiBatchResettable(cfgs []MultiConfig) bool {
-	if len(cfgs) < 2 {
-		return false
-	}
-	for _, cfg := range cfgs[1:] {
-		if !multiResetCompatible(cfgs[0], cfg) {
-			return false
-		}
-	}
-	return true
 }

@@ -8,7 +8,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"memstream/internal/parallel"
@@ -20,11 +19,7 @@ import (
 // RunReplicas share it, so the two paths cannot drift apart.
 func reseedConfig(cfg Config, seed uint64) Config {
 	cfg.Seed = seed
-	if cfg.Spec.Kind != "" {
-		cfg.Spec.Seed = seed
-	} else {
-		cfg.Stream.Seed = seed
-	}
+	cfg.Spec.Seed = seed
 	cfg.BestEffort.Seed = seed
 	return cfg
 }
@@ -48,15 +43,11 @@ func reseedMultiConfig(cfg MultiConfig, seed uint64) MultiConfig {
 // replica order, bit-identical to sequential fresh runs at any worker count.
 // The configuration is validated once; each worker builds one simulator and
 // rewinds it per replica, so a warm replica allocates only its returned
-// Stats. Custom rate sources cannot be reseeded per replica and are
-// rejected. workers follows the RunBatch convention (zero means one worker
-// per CPU).
+// Stats. workers follows the RunBatch convention (zero means one worker per
+// CPU).
 func RunReplicas(ctx context.Context, workers int, cfg Config, seed uint64, replicas int) ([]*Stats, error) {
 	if replicas <= 0 {
 		return nil, nil
-	}
-	if cfg.RateSource != nil {
-		return nil, errors.New("sim: replicas need a resettable configuration (no custom rate source)")
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err

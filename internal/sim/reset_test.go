@@ -31,26 +31,17 @@ func resettableConfigs() map[string]Config {
 	withBestEffort.BestEffort = workload.NewBestEffortProcess(0.05, withBestEffort.MediaRate(), 1)
 	withECC := base(workload.CBRSpec(1024 * units.Kbps))
 	withECC.BitErrorRate = 1e-5
-	legacy := Config{
-		Device:   device.DefaultMEMS(),
-		DRAM:     device.DefaultDRAM(),
-		Buffer:   128 * units.KB,
-		Stream:   workload.NewVBRStream(1024*units.Kbps, 1),
-		Duration: 2 * units.Minute,
-		Seed:     1,
-	}
 	trace, err := workload.NewVideoStream(1024*units.Kbps, 3).GenerateTrace(20 * units.Second)
 	if err != nil {
 		panic(err)
 	}
 	return map[string]Config{
-		"cbr":           base(workload.CBRSpec(1024 * units.Kbps)),
-		"vbr":           base(workload.VBRSpec(1024*units.Kbps, 1)),
-		"video":         base(workload.VideoSpec(1024*units.Kbps, 1)),
-		"trace":         base(workload.TraceSpec(trace)),
-		"best-effort":   withBestEffort,
-		"ecc":           withECC,
-		"legacy-stream": legacy,
+		"cbr":         base(workload.CBRSpec(1024 * units.Kbps)),
+		"vbr":         base(workload.VBRSpec(1024*units.Kbps, 1)),
+		"video":       base(workload.VideoSpec(1024*units.Kbps, 1)),
+		"trace":       base(workload.TraceSpec(trace)),
+		"best-effort": withBestEffort,
+		"ecc":         withECC,
 	}
 }
 
@@ -58,11 +49,7 @@ func resettableConfigs() map[string]Config {
 // every stochastic input takes the replica seed.
 func reseed(cfg Config, seed uint64) Config {
 	cfg.Seed = seed
-	if cfg.Spec.Kind != "" {
-		cfg.Spec.Seed = seed
-	} else {
-		cfg.Stream.Seed = seed
-	}
+	cfg.Spec.Seed = seed
 	cfg.BestEffort.Seed = seed
 	return cfg
 }
@@ -99,46 +86,6 @@ func TestSimulatorResetMatchesFresh(t *testing.T) {
 	}
 }
 
-func TestResetForRejectsIncompatibleConfig(t *testing.T) {
-	cfg := resettableConfigs()["cbr"]
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	changed := cfg
-	changed.Buffer = cfg.Buffer * 2
-	if err := s.ResetFor(changed); err == nil {
-		t.Error("ResetFor accepted a configuration differing beyond seeds")
-	}
-	// Seeds-only changes are exactly what ResetFor is for.
-	if err := s.ResetFor(reseed(cfg, 9)); err != nil {
-		t.Errorf("ResetFor rejected a seeds-only change: %v", err)
-	}
-}
-
-func TestResetRejectsCustomRateSource(t *testing.T) {
-	pattern, err := workload.NewVideoRatePattern(workload.NewVideoStream(1024*units.Kbps, 1), 10*units.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Device:     device.DefaultMEMS(),
-		DRAM:       device.DefaultDRAM(),
-		Buffer:     128 * units.KB,
-		Stream:     workload.NewCBRStream(1024 * units.Kbps),
-		RateSource: pattern,
-		Duration:   30 * units.Second,
-		Seed:       1,
-	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Reset(2); err == nil {
-		t.Error("Reset accepted a simulator driving a custom rate source")
-	}
-}
-
 // marshal renders statistics to JSON so the batch comparison is literally
 // byte-for-byte, not merely DeepEqual.
 func marshal(t *testing.T, v any) []byte {
@@ -150,24 +97,24 @@ func marshal(t *testing.T, v any) []byte {
 	return b
 }
 
+// TestRunBatchResetPathMatchesFresh checks the replica runner's reset path:
+// RunReplicas reuses one simulator per worker, and every replica must be
+// byte-identical to a simulator built fresh for its seed, at any worker
+// count.
 func TestRunBatchResetPathMatchesFresh(t *testing.T) {
 	for name, cfg := range resettableConfigs() {
 		t.Run(name, func(t *testing.T) {
 			const replicas = 9
-			cfgs := make([]Config, replicas)
-			for i := range cfgs {
-				cfgs[i] = reseed(cfg, uint64(i)+1)
-			}
 			want := make([][]byte, replicas)
-			for i := range cfgs {
-				stats, err := RunConfig(cfgs[i])
+			for i := range want {
+				stats, err := RunConfig(reseed(cfg, uint64(i)+1))
 				if err != nil {
 					t.Fatal(err)
 				}
 				want[i] = marshal(t, stats)
 			}
 			for _, workers := range []int{0, 1, 2, 7} {
-				got, err := RunBatch(context.Background(), workers, cfgs)
+				got, err := RunReplicas(context.Background(), workers, cfg, 1, replicas)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -182,8 +129,8 @@ func TestRunBatchResetPathMatchesFresh(t *testing.T) {
 }
 
 func TestRunBatchMixedConfigsStillMatchSequential(t *testing.T) {
-	// A batch whose entries differ beyond seeds cannot reuse simulators and
-	// must fall back to per-entry construction with identical results.
+	// A batch whose entries differ beyond seeds runs each entry on its own
+	// simulator, with results identical to sequential runs.
 	a := resettableConfigs()["cbr"]
 	b := a
 	b.Buffer = a.Buffer * 2
@@ -254,39 +201,21 @@ func TestMultiSimulatorResetMatchesFresh(t *testing.T) {
 	}
 }
 
-func TestMultiResetForRejectsIncompatibleConfig(t *testing.T) {
-	cfg := multiResetConfig()
-	s, err := NewMulti(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	changed := reseedMulti(cfg, 2)
-	changed.Streams[1].Buffer = changed.Streams[1].Buffer * 2
-	if err := s.ResetFor(changed); err == nil {
-		t.Error("ResetFor accepted a configuration differing beyond seeds")
-	}
-	if err := s.ResetFor(reseedMulti(cfg, 2)); err != nil {
-		t.Errorf("ResetFor rejected a seeds-only change: %v", err)
-	}
-}
-
+// TestRunMultiBatchResetPathMatchesFresh is TestRunBatchResetPathMatchesFresh
+// for the shared-device replica runner, RunMultiReplicas.
 func TestRunMultiBatchResetPathMatchesFresh(t *testing.T) {
 	cfg := multiResetConfig()
 	const replicas = 7
-	cfgs := make([]MultiConfig, replicas)
-	for i := range cfgs {
-		cfgs[i] = reseedMulti(cfg, uint64(i)+1)
-	}
 	want := make([][]byte, replicas)
-	for i := range cfgs {
-		stats, err := RunMulti(cfgs[i])
+	for i := range want {
+		stats, err := RunMulti(reseedMulti(cfg, uint64(i)+1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = marshal(t, stats)
 	}
-	for _, workers := range []int{0, 1, 2, 5} {
-		got, err := RunMultiBatch(context.Background(), workers, cfgs)
+	for _, workers := range []int{0, 1, 2, 7} {
+		got, err := RunMultiReplicas(context.Background(), workers, cfg, 1, replicas)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -385,7 +314,7 @@ func TestConstructionAllocsIndependentOfDuration(t *testing.T) {
 			Device:   device.DefaultMEMS(),
 			DRAM:     device.DefaultDRAM(),
 			Buffer:   64 * units.KiB,
-			Stream:   workload.NewCBRStream(1024 * units.Kbps),
+			Spec:     workload.CBRSpec(1024 * units.Kbps),
 			Duration: d,
 			Seed:     1,
 		}

@@ -23,7 +23,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"reflect"
 
 	"memstream/internal/device"
 	"memstream/internal/ecc"
@@ -31,17 +30,6 @@ import (
 	"memstream/internal/units"
 	"memstream/internal/workload"
 )
-
-// RateSource samples the instantaneous demand of a stream. workload's
-// RatePattern (CBR/VBR) and VideoRatePattern (MPEG-like frame traces) both
-// implement it.
-type RateSource = engine.RateSource
-
-// halfFrameSlice is the sampling resolution for custom rate sources that
-// cannot announce their own rate changes: half a frame interval at the 25 fps
-// video default, the legacy fixed-slice resolution the event-driven engine
-// degrades to on such sources.
-var halfFrameSlice = units.Second.Scale(0.02)
 
 // Stats accumulates everything observed during a run. It is the engine's
 // statistics record; the public facade re-exports it as memstream.SimStats.
@@ -61,21 +49,12 @@ type Config struct {
 	// Buffer is the streaming-buffer capacity B.
 	Buffer units.Size
 	// Spec describes the stream for any built-in workload kind (CBR, VBR,
-	// frame-accurate video, user frame traces). When Spec.Kind is set it is
-	// the single source of truth: the simulator derives the demand pattern
-	// from it — for video, with the trace horizon tied to Duration (capped
-	// at workload.MaxTraceHorizon, wrapping beyond) — and takes the write
-	// mix from Spec.WriteFraction; Stream and RateSource are ignored.
+	// frame-accurate video, user frame traces). The simulator derives the
+	// demand pattern from it — for video, with the trace horizon tied to
+	// Duration (capped at workload.MaxTraceHorizon, wrapping beyond) — and
+	// takes the write mix from Spec.WriteFraction. A pre-generated trace
+	// replays through workload.TraceSpec.
 	Spec workload.StreamSpec
-	// Stream is the legacy stream description, used when Spec.Kind is
-	// empty. New code should prefer Spec.
-	Stream workload.Stream
-	// RateSource optionally overrides the demand sampling of Stream (for
-	// example with a pre-generated video trace). Stream still provides the
-	// nominal rate and the write fraction. Ignored when Spec.Kind is set;
-	// sources that cannot announce their own rate changes fall back to
-	// half-frame slicing, which the Spec path never needs.
-	RateSource RateSource
 	// BestEffort is the background request process. Leave the zero value for
 	// a clean stream with no best-effort traffic.
 	BestEffort workload.BestEffortProcess
@@ -124,11 +103,7 @@ func (c Config) Validate() error {
 	if err := c.DRAM.Validate(); err != nil {
 		errs = append(errs, err)
 	}
-	if c.Spec.Kind != "" {
-		if err := c.Spec.Validate(); err != nil {
-			errs = append(errs, err)
-		}
-	} else if err := c.Stream.Validate(); err != nil {
+	if err := c.Spec.Validate(); err != nil {
 		errs = append(errs, err)
 	}
 	if c.BestEffort.TargetFraction > 0 {
@@ -144,24 +119,15 @@ func (c Config) Validate() error {
 	}
 	mediaRate := c.backend().MediaRate()
 	if mediaRate.Positive() {
-		if c.Spec.Kind != "" {
-			// The peak bound covers the average too, but both checks name the
-			// quantity a user would recognise in the error. RateBounds scans
-			// a trace once for both values.
-			average, peak := c.Spec.RateBounds()
-			if average >= mediaRate {
-				errs = append(errs, errors.New("sim: stream rate must be below the media rate"))
-			}
-			if peak >= mediaRate {
-				errs = append(errs, errors.New("sim: the stream's peak demand must be below the media rate"))
-			}
-		} else {
-			if c.Stream.NominalRate >= mediaRate {
-				errs = append(errs, errors.New("sim: stream rate must be below the media rate"))
-			}
-			if c.RateSource != nil && c.RateSource.PeakRate() >= mediaRate {
-				errs = append(errs, errors.New("sim: the rate source's peak demand must be below the media rate"))
-			}
+		// The peak bound covers the average too, but both checks name the
+		// quantity a user would recognise in the error. RateBounds scans a
+		// trace once for both values.
+		average, peak := c.Spec.RateBounds()
+		if average >= mediaRate {
+			errs = append(errs, errors.New("sim: stream rate must be below the media rate"))
+		}
+		if peak >= mediaRate {
+			errs = append(errs, errors.New("sim: the stream's peak demand must be below the media rate"))
 		}
 	}
 	if c.BitErrorRate < 0 || c.BitErrorRate >= 1 {
@@ -176,7 +142,7 @@ type Simulator struct {
 	cfg     Config
 	backend engine.Backend
 	core    *engine.MultiCore
-	source  RateSource
+	source  workload.Pattern
 	rng     *workload.Rng
 	// run is the shared cycle loop, configured for the single-stream model:
 	// top-off refill, inflated background writes, full-buffer DRAM charge
@@ -193,31 +159,12 @@ func New(cfg Config) (*Simulator, error) {
 }
 
 // newValidated builds a simulator assuming cfg already passed Validate, so
-// batch runners validating a whole batch once do not pay per-replica
+// the replica runner validating its prototype once does not pay per-replica
 // re-validation.
 func newValidated(cfg Config) (*Simulator, error) {
-	var source RateSource
-	writeFraction := cfg.Stream.WriteFraction
-	switch {
-	case cfg.Spec.Kind != "":
-		// Every built-in kind announces its own rate changes, so the spec
-		// path never needs the half-frame Sliced fallback.
-		pattern, err := cfg.Spec.Pattern(cfg.Duration)
-		if err != nil {
-			return nil, err
-		}
-		source = pattern
-		writeFraction = cfg.Spec.WriteFraction
-	case cfg.RateSource != nil:
-		// A custom source that cannot announce its own rate changes falls
-		// back to the legacy half-frame sampling resolution.
-		source = engine.Sliced(cfg.RateSource, halfFrameSlice)
-	default:
-		pattern, err := workload.NewRatePattern(cfg.Stream)
-		if err != nil {
-			return nil, err
-		}
-		source = pattern
+	source, err := cfg.Spec.Pattern(cfg.Duration)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.BitErrorRate > 0 && cfg.ECCSampleWords <= 0 {
 		cfg.ECCSampleWords = 8
@@ -226,7 +173,7 @@ func newValidated(cfg Config) (*Simulator, error) {
 	core := engine.NewMultiCore(backend, []engine.StreamConfig{{
 		Source:        source,
 		Buffer:        cfg.Buffer,
-		WriteFraction: writeFraction,
+		WriteFraction: cfg.Spec.WriteFraction,
 	}})
 	s := &Simulator{
 		cfg:     cfg,
@@ -251,64 +198,18 @@ func newValidated(cfg Config) (*Simulator, error) {
 	return s, nil
 }
 
-// patternSeed returns the seed the demand pattern derives its randomness
-// from: the spec's for the typed path, the legacy stream's otherwise.
-func (c Config) patternSeed() uint64 {
-	if c.Spec.Kind != "" {
-		return c.Spec.Seed
-	}
-	return c.Stream.Seed
-}
-
-// ResetFor rewinds the simulator so its next Run replays cfg from scratch,
-// reusing the engine core, the demand pattern's storage and the best-effort
-// arrival cursor instead of rebuilding them: after a ResetFor, Run produces
-// bit-identical statistics to a fresh New(cfg) run. cfg must be reset-
-// compatible with the configuration the simulator was built from — identical
-// except for the seeds (Seed, Spec.Seed/Stream.Seed, BestEffort.Seed) — and
-// the simulator must not drive a custom RateSource, whose internal state the
-// engine cannot rewind; ResetFor reports an error otherwise. RunBatch uses
-// it to run seed-varied replicas with an allocation-free steady state.
-func (s *Simulator) ResetFor(cfg Config) error {
-	if cfg.BitErrorRate > 0 && cfg.ECCSampleWords <= 0 {
-		// The same defaulting New applies, so the stored (normalized)
-		// configuration compares equal to a caller's un-normalized one.
-		cfg.ECCSampleWords = 8
-	}
-	if !resetCompatible(s.cfg, cfg) {
-		return errors.New("sim: ResetFor needs a reset-compatible configuration (identical up to seeds, no custom rate source)")
-	}
-	return s.rewind(cfg)
-}
-
-// rewind is ResetFor without the compatibility check, for callers that know
-// cfg is reset-compatible by construction (Reset derives it from the stored
-// configuration; the batch runners verify the whole batch once up front). It
-// allocates nothing in steady state: the pattern regenerates into its own
-// storage and the best-effort cursor only reseeds, drawing its requests
-// during Run.
-func (s *Simulator) rewind(cfg Config) error {
-	if cfg.RateSource != nil {
-		// The caller owns the source's internal state, which the engine
-		// cannot rewind — even when the source is one of the resettable
-		// pattern types below, reseeding it here would desync it from the
-		// caller's view of it.
-		return errors.New("sim: a custom rate source cannot be reset")
-	}
-	if cfg.BitErrorRate > 0 && cfg.ECCSampleWords <= 0 {
-		cfg.ECCSampleWords = 8
-	}
-	switch p := s.source.(type) {
-	case *workload.RatePattern:
-		p.Reset(cfg.patternSeed())
-	case *workload.VideoRatePattern:
-		if err := p.Reset(cfg.patternSeed()); err != nil {
-			return err
-		}
-	case *workload.TracePattern:
-		// Read-only after construction; the replayed frames carry no seed.
-	default:
-		return errors.New("sim: a custom rate source cannot be reset")
+// Reset re-seeds every stochastic input — the run's own RNG, the demand
+// pattern and the best-effort process — with the same replica seed, exactly
+// as RunReplicas and the service layer derive their replicas, and rewinds
+// the simulator for the next Run. After a Reset, Run produces bit-identical
+// statistics to a fresh New run of the reseeded configuration. It allocates
+// nothing in steady state: the engine core is reused, the pattern
+// regenerates into its own storage and the best-effort cursor only reseeds,
+// drawing its requests during Run.
+func (s *Simulator) Reset(seed uint64) error {
+	cfg := reseedConfig(s.cfg, seed)
+	if err := s.source.Reset(cfg.Spec.Seed); err != nil {
+		return err
 	}
 	if err := s.run.rewindRequests(cfg.BestEffort); err != nil {
 		return err
@@ -319,31 +220,6 @@ func (s *Simulator) rewind(cfg Config) error {
 	// realized peak, so it must follow the pattern reset above.
 	s.core.Reset()
 	return nil
-}
-
-// Reset is the common-case ResetFor: it re-seeds every stochastic input —
-// the run's own RNG, the demand pattern and the best-effort process — with
-// the same replica seed, exactly as the service layer derives its replicas,
-// and rewinds the simulator for the next Run. The derived configuration is
-// reset-compatible by construction, so Reset skips the compatibility check
-// and runs allocation-free.
-func (s *Simulator) Reset(seed uint64) error {
-	return s.rewind(reseedConfig(s.cfg, seed))
-}
-
-// resetCompatible reports whether two configurations are identical up to
-// their seed fields, so a simulator built for a can be rewound into b by
-// ResetFor. Custom rate sources are never reset-compatible: the engine
-// cannot rewind state it does not own.
-func resetCompatible(a, b Config) bool {
-	if a.RateSource != nil || b.RateSource != nil {
-		return false
-	}
-	a.Seed, b.Seed = 0, 0
-	a.Spec.Seed, b.Spec.Seed = 0, 0
-	a.Stream.Seed, b.Stream.Seed = 0, 0
-	a.BestEffort.Seed, b.BestEffort.Seed = 0, 0
-	return reflect.DeepEqual(a, b)
 }
 
 // injectErrors exercises the ECC codec with the configured raw bit-error rate

@@ -15,7 +15,7 @@ func baseConfig(buffer units.Size, rate units.BitRate) Config {
 		Device:   device.DefaultMEMS(),
 		DRAM:     device.DefaultDRAM(),
 		Buffer:   buffer,
-		Stream:   workload.NewCBRStream(rate),
+		Spec:     workload.CBRSpec(rate),
 		Duration: 5 * units.Minute,
 		Seed:     1,
 	}
@@ -39,10 +39,10 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"zero buffer", func(c *Config) { c.Buffer = 0 }},
 		{"zero duration", func(c *Config) { c.Duration = 0 }},
-		{"rate above media", func(c *Config) { c.Stream.NominalRate = 200 * units.Mbps }},
+		{"rate above media", func(c *Config) { c.Spec.Rate = 200 * units.Mbps }},
 		{"broken device", func(c *Config) { c.Device.ActiveProbes = 0 }},
 		{"broken dram", func(c *Config) { c.DRAM.DieCapacity = 0 }},
-		{"broken stream", func(c *Config) { c.Stream.WriteFraction = 2 }},
+		{"broken stream", func(c *Config) { c.Spec.WriteFraction = 2 }},
 		{"broken best effort", func(c *Config) {
 			c.BestEffort = workload.BestEffortProcess{TargetFraction: 0.05}
 		}},
@@ -79,7 +79,7 @@ func TestRunBasicInvariants(t *testing.T) {
 	}
 	// Conservation: streamed bits equal the drain rate times the time, within
 	// the granularity of one buffer.
-	wantStreamed := cfg.Stream.NominalRate.Times(stats.SimulatedTime)
+	wantStreamed := cfg.Spec.Rate.Times(stats.SimulatedTime)
 	if relDiff(stats.StreamedBits.Bits(), wantStreamed.Bits()) > 0.02 {
 		t.Errorf("streamed %v, want about %v", stats.StreamedBits, wantStreamed)
 	}
@@ -236,7 +236,7 @@ func TestBestEffortTrafficIsServed(t *testing.T) {
 
 func TestVBRStreamSimulation(t *testing.T) {
 	cfg := baseConfig(45*units.KiB, 1024*units.Kbps)
-	cfg.Stream = workload.NewVBRStream(1024*units.Kbps, 13)
+	cfg.Spec = workload.VBRSpec(1024*units.Kbps, 13)
 	stats, err := RunConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestVBRStreamSimulation(t *testing.T) {
 		t.Errorf("VBR stream underran %d times with a 45 KiB buffer", stats.Underruns)
 	}
 	// Streamed volume stays near nominal (the VBR pattern averages out).
-	want := cfg.Stream.NominalRate.Times(stats.SimulatedTime)
+	want := cfg.Spec.Rate.Times(stats.SimulatedTime)
 	if relDiff(stats.StreamedBits.Bits(), want.Bits()) > 0.15 {
 		t.Errorf("VBR streamed %v, want within 15%% of %v", stats.StreamedBits, want)
 	}

@@ -20,13 +20,12 @@ func TestVideoTraceSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Device:     device.DefaultMEMS(),
-		DRAM:       device.DefaultDRAM(),
-		Buffer:     64 * units.KiB,
-		Stream:     workload.NewCBRStream(rate), // nominal rate + write mix
-		RateSource: pattern,
-		Duration:   3 * units.Minute,
-		Seed:       3,
+		Device:   device.DefaultMEMS(),
+		DRAM:     device.DefaultDRAM(),
+		Buffer:   64 * units.KiB,
+		Spec:     workload.TraceSpec(pattern.Frames()),
+		Duration: 3 * units.Minute,
+		Seed:     3,
 	}
 	stats, err := RunConfig(cfg)
 	if err != nil {
@@ -55,27 +54,6 @@ func TestVideoTraceSimulation(t *testing.T) {
 	}
 }
 
-func TestVideoTracePeakAboveMediaRateRejected(t *testing.T) {
-	// A synthetic rate source whose peak exceeds the media rate must be
-	// rejected at validation time.
-	video := workload.NewVideoStream(90*units.Mbps, 1)
-	pattern, err := workload.NewVideoRatePattern(video, 10*units.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Device:     device.DefaultMEMS(),
-		DRAM:       device.DefaultDRAM(),
-		Buffer:     10 * units.MiB,
-		Stream:     workload.NewCBRStream(90 * units.Mbps),
-		RateSource: pattern,
-		Duration:   units.Second,
-	}
-	if err := cfg.Validate(); err == nil {
-		t.Error("rate source peaking above the media rate accepted")
-	}
-}
-
 func TestVideoTraceTightBufferUnderruns(t *testing.T) {
 	// With a buffer barely above the seek-time drain at nominal rate, the
 	// I-frame bursts of the trace outrun the refills and underruns appear —
@@ -88,13 +66,12 @@ func TestVideoTraceTightBufferUnderruns(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Device:     device.DefaultMEMS(),
-		DRAM:       device.DefaultDRAM(),
-		Buffer:     units.Size(4000), // ~0.5 KiB: covers the peak-rate seek drain, nothing more
-		Stream:     workload.NewCBRStream(rate),
-		RateSource: pattern,
-		Duration:   time30s(),
-		Seed:       9,
+		Device:   device.DefaultMEMS(),
+		DRAM:     device.DefaultDRAM(),
+		Buffer:   units.Size(4000), // ~0.5 KiB: covers the peak-rate seek drain, nothing more
+		Spec:     workload.TraceSpec(pattern.Frames()),
+		Duration: time30s(),
+		Seed:     9,
 	}
 	stats, err := RunConfig(cfg)
 	if err != nil {

@@ -27,7 +27,9 @@ func TestRatePatternResetMatchesFresh(t *testing.T) {
 	// segment state would be caught.
 	_ = sampleRates(p)
 
-	p.Reset(42)
+	if err := p.Reset(42); err != nil {
+		t.Fatal(err)
+	}
 	got := sampleRates(p)
 
 	stream.Seed = 42

@@ -37,7 +37,8 @@ const MaxTraceHorizon = units.Hour
 
 // Pattern samples piecewise-constant stream demand and announces its own
 // rate changes, so event-driven integrators can step exactly from change to
-// change. RatePattern, VideoRatePattern and TracePattern all implement it.
+// change, and rewinds in place for a seed-varied replica. RatePattern,
+// VideoRatePattern and TracePattern all implement it.
 type Pattern interface {
 	// RateAt returns the demand in effect at time t.
 	RateAt(t units.Duration) units.BitRate
@@ -48,6 +49,9 @@ type Pattern interface {
 	// NextRateChange returns the earliest time strictly after t at which
 	// RateAt may return a different value.
 	NextRateChange(t units.Duration) units.Duration
+	// Reset rewinds the pattern to the state its constructor would build
+	// for the same description re-seeded with seed, reusing its storage.
+	Reset(seed uint64) error
 }
 
 // StreamSpec is the typed stream description shared by every layer: the

@@ -230,6 +230,10 @@ func (p *TracePattern) RateAt(t units.Duration) units.BitRate {
 	return p.rates[p.firstAfter(p.pass(t.Seconds())*p.horizon, t.Seconds())-1]
 }
 
+// Reset does nothing: the replayed frames carry no seed and the pattern is
+// read-only after construction.
+func (p *TracePattern) Reset(uint64) error { return nil }
+
 // PeakRate returns the largest instantaneous demand of the trace.
 func (p *TracePattern) PeakRate() units.BitRate { return p.peak }
 

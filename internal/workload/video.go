@@ -304,7 +304,7 @@ func (p *VideoRatePattern) Reset(seed uint64) error {
 }
 
 // RateAt returns the demand in effect at time t. The frame is derived from
-// the same absolute frame count NextBoundary computes, so the boundary
+// the same absolute frame count nextBoundary computes, so the boundary
 // NextRateChange announces always starts the next frame: a boundary time k·Δ
 // whose quotient by Δ rounds below k would otherwise sample frame k−1 for a
 // whole frame interval.
@@ -332,7 +332,7 @@ func (p *VideoRatePattern) NextRateChange(t units.Duration) units.Duration {
 	if t < 0 {
 		t = 0
 	}
-	return NextBoundary(t, p.frameInterval.Seconds())
+	return nextBoundary(t, p.frameInterval.Seconds())
 }
 
 // AverageRate returns the long-run average demand of the trace.

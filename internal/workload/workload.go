@@ -168,12 +168,14 @@ func NewRatePattern(s Stream) (*RatePattern, error) {
 // Reset rewinds the pattern to the state NewRatePattern would build for the
 // same stream re-seeded with seed, without allocating: a reused pattern
 // replays exactly the segment sequence a fresh one would produce. It exists
-// so batch replicas can reuse one sampler across seed-varied runs.
-func (p *RatePattern) Reset(seed uint64) {
+// so batch replicas can reuse one sampler across seed-varied runs; it never
+// fails.
+func (p *RatePattern) Reset(seed uint64) error {
 	p.stream.Seed = seed
 	p.rng.Seed(seed ^ 0xa5a5a5a5a5a5a5a5)
 	p.segmentEnd = 0 // force a draw on first use, as NewRatePattern does
 	p.current = p.stream.NominalRate
+	return nil
 }
 
 // PeakRate returns the highest rate the pattern can produce.
@@ -204,14 +206,14 @@ func (p *RatePattern) NextRateChange(t units.Duration) units.Duration {
 	if p.stream.Kind == CBR {
 		return units.Duration(math.Inf(1))
 	}
-	return NextBoundary(t, p.stream.SegmentLength.Seconds())
+	return nextBoundary(t, p.stream.SegmentLength.Seconds())
 }
 
-// NextBoundary returns the first multiple of interval strictly after t. The
+// nextBoundary returns the first multiple of interval strictly after t. The
 // strictness guard matters: k*interval can round to a float at or below t,
 // and a "next" change that does not advance time would make event-driven
 // integrators skip the boundary entirely.
-func NextBoundary(t units.Duration, interval float64) units.Duration {
+func nextBoundary(t units.Duration, interval float64) units.Duration {
 	k := math.Floor(t.Seconds()/interval) + 1
 	next := units.Second.Scale(k * interval)
 	if next <= t {
