@@ -98,10 +98,14 @@ func (c MultiConfig) AggregateRate() units.BitRate {
 // demand below the media rate).
 func (c MultiConfig) Validate() error {
 	var errs []error
-	if err := c.backend().Validate(); err != nil {
+	// Resolve the backend once: the MEMS default builds its device model
+	// and sector layout on every call.
+	backend := c.backend()
+	if err := backend.Validate(); err != nil {
 		errs = append(errs, err)
 	}
-	if c.Backend != nil && !c.Backend.MediaRate().Positive() {
+	mediaRate := backend.MediaRate()
+	if c.Backend != nil && !mediaRate.Positive() {
 		errs = append(errs, errors.New("sim: backend media rate must be positive"))
 	}
 	if err := c.DRAM.Validate(); err != nil {
@@ -113,7 +117,6 @@ func (c MultiConfig) Validate() error {
 	if len(c.Streams) == 0 {
 		errs = append(errs, errors.New("sim: at least one stream is required"))
 	}
-	mediaRate := c.backend().MediaRate()
 	for i, s := range c.Streams {
 		if err := s.Spec.Validate(); err != nil {
 			errs = append(errs, fmt.Errorf("sim: stream %d (%s): %w", i, s.Name, err))

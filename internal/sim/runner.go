@@ -8,7 +8,9 @@ package sim
 // and the full-buffer DRAM access charge per cycle — are expressed as runner
 // knobs instead of a second loop. Best-effort requests are pulled from a
 // workload.BestEffortArrivals cursor as the loop reaches their arrival
-// times, so neither construction nor reset builds the run's request list.
+// times, so neither construction nor reset builds the run's request list;
+// the cursor draws them 64 at a time, its logarithms batched through a
+// two-lane kernel with math.Log's exact bits, so its memory stays fixed.
 
 import (
 	"memstream/internal/device"

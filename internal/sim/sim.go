@@ -92,10 +92,14 @@ func (c Config) MediaRate() units.BitRate {
 // method.
 func (c Config) Validate() error {
 	var errs []error
-	if err := c.backend().Validate(); err != nil {
+	// Resolve the backend once: the MEMS default builds its device model
+	// and sector layout on every call.
+	backend := c.backend()
+	if err := backend.Validate(); err != nil {
 		errs = append(errs, err)
 	}
-	if c.Backend != nil && !c.Backend.MediaRate().Positive() {
+	mediaRate := backend.MediaRate()
+	if c.Backend != nil && !mediaRate.Positive() {
 		// Custom backends may validate loosely; the engine still needs a
 		// positive media rate to form a refill cycle at all.
 		errs = append(errs, errors.New("sim: backend media rate must be positive"))
@@ -117,7 +121,6 @@ func (c Config) Validate() error {
 	if !c.Duration.Positive() {
 		errs = append(errs, errors.New("sim: duration must be positive"))
 	}
-	mediaRate := c.backend().MediaRate()
 	if mediaRate.Positive() {
 		// The peak bound covers the average too, but both checks name the
 		// quantity a user would recognise in the error. RateBounds scans a

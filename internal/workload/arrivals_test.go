@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
@@ -104,9 +105,16 @@ func TestArrivalsReplayAfterReset(t *testing.T) {
 		t.Errorf("reused cursor gave %d requests with digest %s, recorded %d with %s",
 			len(reqs), requestDigest(reqs), want.count, want.digest)
 	}
-	// Rewinding and draining a cursor allocates nothing.
+	// Rewinding a cursor mid-block and draining a full hour, every block
+	// refill included, allocates nothing.
 	allocs := testing.AllocsPerRun(3, func() {
-		if err := a.Reset(proc, units.Minute); err != nil {
+		if err := a.Reset(proc, units.Hour); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < beBlock/2; i++ {
+			a.Pop()
+		}
+		if err := a.Reset(proc, units.Hour); err != nil {
 			t.Fatal(err)
 		}
 		for _, ok := a.Peek(); ok; _, ok = a.Peek() {
@@ -116,6 +124,118 @@ func TestArrivalsReplayAfterReset(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("Reset and drain allocate %.1f times, want 0", allocs)
 	}
+}
+
+// referenceArrivals is the definition the block cursor must reproduce: one
+// Rng.Exp draw after another, the gap, then the size, then the write flag of
+// each request, stopping at the first arrival at or past the horizon.
+func referenceArrivals(t *testing.T, p BestEffortProcess, horizon units.Duration) []BestEffortRequest {
+	t.Helper()
+	mean, err := p.MeanInterarrival()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []BestEffortRequest
+	if p.TargetFraction == 0 || !horizon.Positive() {
+		return out
+	}
+	rng := NewRng(p.Seed ^ 0x5bd1e9955bd1e995)
+	arrival := units.Duration(0)
+	for {
+		arrival = arrival.Add(units.Second.Scale(rng.Exp(mean.Seconds())))
+		if arrival >= horizon {
+			return out
+		}
+		size := units.Bit.Scale(rng.Exp(p.MeanSize.Bits()))
+		if size < units.Size(512) {
+			size = units.Size(512)
+		}
+		out = append(out, BestEffortRequest{Arrival: arrival, Size: size, Write: rng.Float64() < p.WriteFraction})
+	}
+}
+
+// sameRequests reports the first request where got and want differ in any
+// bit, or in length.
+func sameRequests(t *testing.T, what string, got, want []BestEffortRequest) {
+	t.Helper()
+	for i := range min(len(got), len(want)) {
+		g, w := got[i], want[i]
+		if math.Float64bits(g.Arrival.Seconds()) != math.Float64bits(w.Arrival.Seconds()) ||
+			math.Float64bits(g.Size.Bits()) != math.Float64bits(w.Size.Bits()) || g.Write != w.Write {
+			t.Errorf("%s: request %d is %+v, the scalar reference draws %+v", what, i, g, w)
+			return
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%s: cursor yields %d requests, the scalar reference %d", what, len(got), len(want))
+	}
+}
+
+func TestArrivalsMatchScalarReference(t *testing.T) {
+	procs := []BestEffortProcess{
+		NewBestEffortProcess(0.05, 102400*units.Kbps, 1),
+		NewBestEffortProcess(0.3, 50*units.Mbps, 11),
+		{TargetFraction: 0.05, MeanSize: 512 * units.Byte, WriteFraction: 0.25, ServiceRate: 20 * units.Mbps, Seed: 12},
+	}
+	var a BestEffortArrivals
+	for _, p := range procs {
+		want := referenceArrivals(t, p, 10*units.Minute)
+		if err := a.Reset(p, 10*units.Minute); err != nil {
+			t.Fatal(err)
+		}
+		sameRequests(t, "ten minutes", drain(&a), want)
+
+		// Horizons that end just before, at and just after a block
+		// boundary: the horizon at request n's arrival yields exactly n.
+		for _, n := range []int{1, beBlock - 1, beBlock, beBlock + 1, 2 * beBlock} {
+			horizon := want[n].Arrival
+			if err := a.Reset(p, horizon); err != nil {
+				t.Fatal(err)
+			}
+			sameRequests(t, fmt.Sprintf("horizon at request %d", n), drain(&a), want[:n])
+		}
+	}
+}
+
+func TestArrivalsResetMidBlock(t *testing.T) {
+	first := NewBestEffortProcess(0.2, 50*units.Mbps, 9)
+	second := NewBestEffortProcess(0.05, 102400*units.Kbps, 3)
+	want := referenceArrivals(t, second, units.Minute)
+	var a BestEffortArrivals
+	for _, popped := range []int{0, 1, beBlock / 2, beBlock - 1, beBlock, beBlock + 5} {
+		if err := a.Reset(first, units.Hour); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < popped; i++ {
+			a.Pop()
+		}
+		if err := a.Reset(second, units.Minute); err != nil {
+			t.Fatal(err)
+		}
+		sameRequests(t, fmt.Sprintf("reset after %d pops", popped), drain(&a), want)
+	}
+}
+
+// BenchmarkBestEffortArrivals draws one simulated hour of the paper's 5 %
+// best-effort share at the Table I media rate (102.4 Mbps) and reports the
+// cost per request.
+func BenchmarkBestEffortArrivals(b *testing.B) {
+	proc := NewBestEffortProcess(0.05, 102400*units.Kbps, 1)
+	var a BestEffortArrivals
+	requests := 0
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		proc.Seed = uint64(i)
+		if err := a.Reset(proc, units.Hour); err != nil {
+			b.Fatal(err)
+		}
+		for _, ok := a.Peek(); ok; _, ok = a.Peek() {
+			a.Pop()
+			requests++
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(requests), "ns/req")
+	b.ReportMetric(float64(requests)/float64(b.N), "req/op")
 }
 
 func TestArrivalsEmptyCases(t *testing.T) {

@@ -333,10 +333,23 @@ func (p BestEffortProcess) AppendRequests(dst []BestEffortRequest, horizon units
 	return dst, nil
 }
 
+// beBlock is the number of requests a BestEffortArrivals cursor draws per
+// refill.
+const beBlock = 64
+
 // BestEffortArrivals is a pull cursor over a best-effort process's requests
-// arriving in [0, horizon): it draws the next request only when the pending
-// one is consumed, so its memory stays constant however long the horizon.
-// The zero value is an empty cursor.
+// arriving in [0, horizon): it draws requests a fixed block at a time, so its
+// memory stays constant however long the horizon. The zero value is an empty
+// cursor.
+//
+// A refill draws the uniforms of beBlock requests in the per-request order
+// Rng.Exp would consume them (gap, then size, then write flag) and takes the
+// logarithms of all gap and size draws in one call to logs, whose two-lane
+// kernel returns exactly math.Log's bits. The arrival prefix sum, the
+// exponential scaling and the size floor stay per-request scalar Go in Pop,
+// so every request is bit for bit what one Rng.Exp draw after another would
+// give. Draws past the horizon are harmless: the cursor empties at the first
+// arrival beyond it, and Reset reseeds the generator.
 type BestEffortArrivals struct {
 	rng           Rng
 	meanGap       float64 // mean inter-arrival time, seconds
@@ -345,6 +358,13 @@ type BestEffortArrivals struct {
 	horizon       units.Duration
 	next          BestEffortRequest
 	pending       bool
+	// drawn indexes the block's next unconsumed request; at beBlock the
+	// block is spent and the next Pop refills it.
+	drawn int
+	// lnU holds ln(1-u) of each drawn request's gap and size uniforms,
+	// interleaved; write holds its write flag.
+	lnU   [2 * beBlock]float64
+	write [beBlock]bool
 }
 
 // Reset rewinds the cursor to the first request of p within [0, horizon),
@@ -365,11 +385,26 @@ func (a *BestEffortArrivals) Reset(p BestEffortProcess, horizon units.Duration) 
 	a.writeFraction = p.WriteFraction
 	a.horizon = horizon
 	// The first arrival is one gap after time zero, so start from a
-	// consumed request at zero: 0 + gap is exactly gap.
+	// consumed request at zero: 0 + gap is exactly gap. The spent block
+	// makes that Pop draw the first one.
 	a.next.Arrival = 0
 	a.pending = true
+	a.drawn = beBlock
 	a.Pop()
 	return nil
+}
+
+// refill draws the next block of requests. Rng.Float64 is below 1, so every
+// 1-u lies in [2^-53, 1], the domain where Rng.Exp takes its logarithm
+// unclamped.
+func (a *BestEffortArrivals) refill() {
+	for i := range a.write {
+		a.lnU[2*i] = 1 - a.rng.Float64()
+		a.lnU[2*i+1] = 1 - a.rng.Float64()
+		a.write[i] = a.rng.Float64() < a.writeFraction
+	}
+	logs(&a.lnU)
+	a.drawn = 0
 }
 
 // Peek returns the pending request and true, or false once the cursor has
@@ -378,26 +413,31 @@ func (a *BestEffortArrivals) Peek() (BestEffortRequest, bool) {
 	return a.next, a.pending
 }
 
-// Pop consumes the pending request and draws the next one: its arrival one
+// Pop consumes the pending request and yields the next one: its arrival one
 // exponential gap later, then its size, then its write flag. Past the
 // horizon the cursor empties; on an empty cursor Pop does nothing.
 func (a *BestEffortArrivals) Pop() {
 	if !a.pending {
 		return
 	}
-	t := a.next.Arrival.Add(units.Second.Scale(a.rng.Exp(a.meanGap)))
+	if a.drawn == beBlock {
+		a.refill()
+	}
+	i := a.drawn
+	a.drawn++
+	t := a.next.Arrival.Add(units.Second.Scale(-a.meanGap * a.lnU[2*i]))
 	a.pending = t < a.horizon
 	if !a.pending {
 		return
 	}
-	size := units.Bit.Scale(a.rng.Exp(a.meanSize))
+	size := units.Bit.Scale(-a.meanSize * a.lnU[2*i+1])
 	if size < units.Size(512) {
 		size = units.Size(512)
 	}
 	a.next = BestEffortRequest{
 		Arrival: t,
 		Size:    size,
-		Write:   a.rng.Float64() < a.writeFraction,
+		Write:   a.write[i],
 	}
 }
 
