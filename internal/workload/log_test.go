@@ -73,8 +73,9 @@ func TestLogsMatchMathLogAroundHalfSqrt2(t *testing.T) {
 
 // Positive finite bit patterns, subnormals included, are all in the kernel's
 // domain. Within the sampler's domain either comparison at sqrt(2)/2 gives
-// the same bits; at a few larger scales (sqrt(2)/2 * 2^32) only math.Log's
-// not-less-than test does, so sqrt(2)/2 at every binary scale pins it.
+// the same bits; of all binary scales, only at sqrt(2)/2 * 2^32 does a
+// less-than test differ from math.Log's not-less-than, so sqrt(2)/2 at every
+// scale pins the comparison.
 func TestLogsMatchMathLogOnPositiveFinite(t *testing.T) {
 	rng := NewRng(7)
 	xs := make([]float64, 0, 1<<16)
